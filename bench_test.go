@@ -1,285 +1,32 @@
-// Benchmarks regenerating every figure and proposition of the paper (and
-// the comparison/extension experiments), one testing.B target per artifact
-// — see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-// recorded paper-vs-measured outcomes. Each bench runs the corresponding
-// experiment driver from internal/sim and reports its headline measurement
-// via b.ReportMetric, failing if the acceptance check breaks.
+// BenchmarkCells regenerates every figure and proposition of the paper
+// (and the comparison/extension experiments), one sub-benchmark per cell
+// of the experiment grid — see DESIGN.md §4 for the experiment index and
+// EXPERIMENTS.md for the recorded paper-vs-measured outcomes. Each
+// sub-benchmark runs its cell through sim.RunCell, the experiments' single
+// entry point, and fails if the cell's acceptance check breaks.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Cells -benchmem
+//	go test -run '^$' -bench 'Cells/p5' -benchmem
 package ssmfp_test
 
 import (
 	"testing"
 
-	"ssmfp/internal/core"
-	"ssmfp/internal/explore"
-	"ssmfp/internal/graph"
 	"ssmfp/internal/sim"
 )
 
-// BenchmarkFigure1DestinationBufferGraph rebuilds the destination-based
-// buffer graph of Figure 1 and verifies it is acyclic with one tree
-// component per destination.
-func BenchmarkFigure1DestinationBufferGraph(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentF1()
-		if !r.Acyclic || !r.AllTrees || r.Components != 5 {
-			b.Fatalf("Figure 1 claims violated: %+v", r)
-		}
-	}
-}
-
-// BenchmarkFigure2SSMFPBufferGraph rebuilds SSMFP's two-buffer graph of
-// Figure 2 (acyclic when tables are correct, cyclic under the a↔c
-// corruption).
-func BenchmarkFigure2SSMFPBufferGraph(b *testing.B) {
-	var cycleLen int
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentF2()
-		if !r.CleanAcyclic || r.CycleLen == 0 {
-			b.Fatalf("Figure 2 claims violated: %+v", r)
-		}
-		cycleLen = r.CycleLen
-	}
-	b.ReportMetric(float64(cycleLen), "cycle-buffers")
-}
-
-// BenchmarkFigure3Replay replays the paper's execution example under the
-// scripted daemon and verifies every frame.
-func BenchmarkFigure3Replay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentF3()
-		if !r.OK {
-			b.Fatalf("Figure 3 replay failed: %v", r.Failures)
-		}
-	}
-}
-
-// BenchmarkFigure4CaterpillarClassification classifies every buffer of an
-// adversarial execution into the caterpillar types of Definition 3.
-func BenchmarkFigure4CaterpillarClassification(b *testing.B) {
-	var observations int
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentF4(int64(i) + 11)
-		if !r.Consistent || !r.AllTypesHit {
-			b.Fatalf("Figure 4 classification failed: %+v", r)
-		}
-		observations = r.Seen[1] + r.Seen[2] + r.Seen[3]
-	}
-	b.ReportMetric(float64(observations), "classified-buffers")
-}
-
-// BenchmarkProp4InvalidDeliveries sweeps network size with every buffer
-// stuffed with invalid messages and checks the 2n bound of Proposition 4.
-func BenchmarkProp4InvalidDeliveries(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentP4(int64(i)+3, []int{4, 6, 8})
-		if !r.WithinBound {
-			b.Fatalf("Proposition 4 bound violated: %+v", r.Rows)
-		}
-		worst = 0
-		for _, row := range r.Rows {
-			if f := float64(row.MaxPerDest) / float64(row.Bound); f > worst {
-				worst = f
-			}
-		}
-	}
-	b.ReportMetric(worst, "worst-fraction-of-2n")
-}
-
-// BenchmarkProp5DeliveryLatency sweeps Δ and D under adversarial fair
-// scheduling and saturating cross-traffic, checking the worst observed
-// delivery latency against the Δ^D bound of Proposition 5.
-func BenchmarkProp5DeliveryLatency(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentP5(int64(i) + 5)
-		if !r.WithinBound {
-			b.Fatalf("Proposition 5 bound violated: %+v", r.Rows)
-		}
-		for _, row := range r.Rows {
-			if float64(row.MaxLatency) > worst {
-				worst = float64(row.MaxLatency)
-			}
-		}
-	}
-	b.ReportMetric(worst, "worst-latency-rounds")
-}
-
-// BenchmarkProp6DelayWaiting measures the delay before a loaded source's
-// first emission and the waiting time between its emissions (Prop. 6).
-func BenchmarkProp6DelayWaiting(b *testing.B) {
-	var maxWait float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentP6(int64(i) + 5)
-		for _, row := range r.Rows {
-			if float64(row.MaxWaiting) > maxWait {
-				maxWait = float64(row.MaxWaiting)
-			}
-		}
-	}
-	b.ReportMetric(maxWait, "max-waiting-rounds")
-}
-
-// BenchmarkProp7AmortizedComplexity saturates lines of growing diameter
-// and checks amortized rounds per delivery against the Θ(D) of Prop. 7.
-func BenchmarkProp7AmortizedComplexity(b *testing.B) {
-	var slope float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentP7(int64(i)+5, []int{2, 4, 6, 8})
-		if !r.Within {
-			b.Fatalf("Proposition 7 bound violated: %+v", r.Rows)
-		}
-		slope = r.Fit.Slope
-	}
-	b.ReportMetric(slope, "amortized-slope-vs-D")
-}
-
-// BenchmarkX1BaselineVsSSMFP contrasts SSMFP with the classical
-// controllers from identical corrupted configurations.
-func BenchmarkX1BaselineVsSSMFP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX1(int64(i) + 9)
-		if !r.SSMFPOK {
-			b.Fatalf("SSMFP lost the comparison it must win: %+v", r.Rows)
-		}
-	}
-}
-
-// BenchmarkX2FaultFreeOverhead quantifies the fault-free per-message move
-// overhead of SSMFP over the atomic classical controller (§4's "no
-// significant over cost" claim).
-func BenchmarkX2FaultFreeOverhead(b *testing.B) {
-	var overhead float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX2(int64(i) + 13)
-		overhead = r.MaxOverhead
-		if overhead >= 8 {
-			b.Fatalf("overhead %.2f no longer a small constant", overhead)
-		}
-	}
-	b.ReportMetric(overhead, "max-overhead-factor")
-}
-
-// BenchmarkX3MessagePassing runs the goroutine/channel port under
-// corruption and loss, checking exactly-once end to end.
-func BenchmarkX3MessagePassing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX3(int64(i) + 21)
-		if !r.AllOK {
-			b.Fatalf("message-passing port violated exactly-once: %+v", r.Rows)
-		}
-	}
-}
-
-// BenchmarkX4AcyclicCoverBufferEconomy measures the §4 alternative scheme:
-// k buffers per node (3 for a ring, 2 for a tree) against the destination
-// schemes, with the path-stretch cost.
-func BenchmarkX4AcyclicCoverBufferEconomy(b *testing.B) {
-	var ringK float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX4(int64(i) + 31)
-		if !r.AllOK {
-			b.Fatalf("acyclic controller failed: %+v", r.Rows)
-		}
-		ringK = float64(r.Rows[0].AcyclicK)
-	}
-	b.ReportMetric(ringK, "ring-buffers-per-node")
-}
-
-// BenchmarkX5ChoicePolicyAblation compares the paper's FIFO queue with
-// rotating and unfair lowest-ID selection under a loaded star.
-func BenchmarkX5ChoicePolicyAblation(b *testing.B) {
-	var penalty float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX5(int64(i) + 33)
-		byPolicy := map[string]sim.X5Row{}
-		for _, row := range r.Rows {
-			byPolicy[row.Policy] = row
-		}
-		q, l := byPolicy["fifo-queue"], byPolicy["lowest-id"]
-		if !q.AllDelivered {
-			b.Fatal("queue policy must deliver everything")
-		}
-		if q.ProbeDelivery > 0 {
-			penalty = float64(l.ProbeDelivery) / float64(q.ProbeDelivery)
-		}
-	}
-	b.ReportMetric(penalty, "unfair-probe-delay-factor")
-}
-
-// BenchmarkX6FaultStorms verifies the post-fault exactly-once guarantee
-// under transient fault storms of growing intensity.
-func BenchmarkX6FaultStorms(b *testing.B) {
-	var compromised float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX6(int64(i) + 35)
-		if !r.AllOK {
-			b.Fatalf("fault storm broke the guarantee: %+v", r.Rows)
-		}
-		compromised = float64(r.Rows[len(r.Rows)-1].Compromised)
-	}
-	b.ReportMetric(compromised, "messages-compromised")
-}
-
-// BenchmarkRARoutingStabilizationAblation isolates the R_A branch of the
-// max(R_A, Δ^D) bounds: with a deliberately slowed routing algorithm, the
-// probe's generation delay grows with the source's stabilization work.
-func BenchmarkRARoutingStabilizationAblation(b *testing.B) {
-	var slowRA float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentRA(int64(i) + 47)
-		if !r.Tracks {
-			b.Fatalf("delay should track R_A: %+v", r.Rows)
-		}
-		slowRA = float64(r.Rows[1].RoutingRound)
-	}
-	b.ReportMetric(slowRA, "slow-RA-rounds")
-}
-
-// BenchmarkExhaustiveModelCheck explores every central-daemon schedule of
-// the Figure 3 corruption scenario and verifies SP on all of them.
-func BenchmarkExhaustiveModelCheck(b *testing.B) {
-	var states float64
-	for i := 0; i < b.N; i++ {
-		g := graph.Figure3Network()
-		cfg := core.CleanConfig(g)
-		cfg[0].(*core.Node).RT.Parent[1] = 2
-		cfg[0].(*core.Node).RT.Dist[1] = 2
-		cfg[2].(*core.Node).RT.Parent[1] = 0
-		cfg[2].(*core.Node).RT.Dist[1] = 2
-		cfg[1].(*core.Node).FW.Dests[1].BufR = &core.Message{
-			Payload: "data", LastHop: 2, Color: 0, UID: 1 << 50, Src: 1, Dest: 1, Valid: false}
-		cfg[2].(*core.Node).FW.Enqueue("data", 1)
-		r := explore.Explore(g, core.FullProgram(g), cfg, explore.CoreOptions(g))
-		if !r.OK() {
-			b.Fatalf("model check failed: %s (inv=%v term=%v)", r, r.InvariantErr, r.TerminalErr)
-		}
-		states = float64(r.States)
-	}
-	b.ReportMetric(states, "states-explored")
-}
-
-// BenchmarkEnginePerfSweep runs the naive-vs-incremental enabled-set
-// sweep (E-EP), checking the acceptance bar (identical executions, ≥3×
-// fewer guard evaluations per step on the 20×20 grid) and reporting the
-// observed 20×20 ratio.
-func BenchmarkEnginePerfSweep(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentEnginePerf(int64(i) + 42)
-		if !r.AllMatch {
-			b.Fatal("incremental and naive executions diverged")
-		}
-		for _, row := range r.Rows {
-			if row.Topology == "grid 20x20" {
-				if row.Ratio < 3 {
-					b.Fatalf("20x20 guard-eval ratio %.2f < 3x", row.Ratio)
+func BenchmarkCells(b *testing.B) {
+	for _, spec := range sim.CellGrid() {
+		b.Run(spec.Key(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := sim.RunCell(spec, sim.Options{Seed: 2009})
+				if err != nil {
+					b.Fatal(err)
 				}
-				ratio = row.Ratio
+				if !res.OK {
+					b.Fatalf("cell %s failed its acceptance check", spec.Key())
+				}
 			}
-		}
+		})
 	}
-	b.ReportMetric(ratio, "guard-eval-ratio-20x20")
 }

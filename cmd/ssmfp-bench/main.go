@@ -51,7 +51,6 @@ func benchMain(args []string) int {
 	parallel := fs.Int("parallel", runtime.NumCPU(), "worker count (any value yields the same normalized report)")
 	shards := fs.Int("shards", 1, "run every engine on the sharded parallel step engine with this many shards (any value yields the same normalized report)")
 	filter := fs.String("filter", "", "comma-separated cell-key prefixes (p5, ep/grid, f3)")
-	experiment := fs.String("experiment", "", "alias for -filter (legacy flag)")
 	quick := fs.Bool("quick", false, "skip the heavy cells")
 	paranoid := fs.Bool("paranoid", false, "run every engine with the incremental self-check enabled (naive rescan cross-checks each step)")
 	jsonOut := fs.String("json", "", "write the machine-readable campaign report to this file")
@@ -65,11 +64,13 @@ func benchMain(args []string) int {
 		Seed: *seed, Seeds: *seeds, Parallel: *parallel, Shards: *shards,
 		Filter: *filter, Quick: *quick, Paranoid: *paranoid,
 	}
-	if cfg.Filter == "" {
-		cfg.Filter = *experiment
-	}
 	if *listCells {
-		for _, s := range campaign.Select(cfg) {
+		specs := campaign.Select(cfg)
+		if len(specs) == 0 {
+			fmt.Fprintln(os.Stderr, "ssmfp-bench:", campaign.ErrNoCells)
+			return 2
+		}
+		for _, s := range specs {
 			heavy := ""
 			if s.Heavy {
 				heavy = " (heavy)"
@@ -168,17 +169,17 @@ func render(rep *campaign.Report, results []sim.CellResult) {
 // writeF3Trace records the Figure 3 replay's JSONL event trace (the
 // golden round-trip input of ssmfp-trace -replay).
 func writeF3Trace(path string) error {
-	_, hdr, events := sim.ExperimentF3Recorded()
+	r := sim.ExperimentF3()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = obs.WriteJSONL(f, hdr, events)
+	err = obs.WriteJSONL(f, r.Header, r.Events)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		fmt.Printf("f3 trace: %d events -> %s\n", len(events), path)
+		fmt.Printf("f3 trace: %d events -> %s\n", len(r.Events), path)
 	}
 	return err
 }

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -136,9 +134,12 @@ func runElastic(cfg config) error {
 	// the whole scenario; it keeps flowing through every membership
 	// change, including straight through the draining node (0↔2 transits
 	// the n-1 side of the ring once (0,1) is cut).
+	// The injectors run concurrently with the joins and the drain, which
+	// write children, so they hold their sources' clients from here on.
 	led := newLedger()
+	sources := map[graph.ProcessID]*cluster.HTTPClient{0: children[0].hc, 2: children[2].hc}
 	inject := func(src, dst graph.ProcessID, count int, payload string) ([]uint64, error) {
-		rep, err := children[src].hc.Inject(src, dst, count, payload)
+		rep, err := sources[src].Inject(src, dst, count, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -326,43 +327,17 @@ func (l *ledger) snapshot() map[string]bool {
 	return out
 }
 
-// serveChild is one forked -serve node: its process, the stdin pipe that
-// releases it, and the admin client pointed at the address it announced.
+// serveChild is one forked -serve node and the admin client pointed at
+// the address it announced.
 type serveChild struct {
-	id    graph.ProcessID
-	cmd   *exec.Cmd
-	stdin *os.File
+	*child
 	admin string
 	hc    *cluster.HTTPClient
 }
 
-// release closes stdin (the shutdown signal) and reaps the process.
-func (c *serveChild) release(wait time.Duration) {
-	if c.stdin != nil {
-		c.stdin.Close()
-		c.stdin = nil
-	}
-	c.reap(wait)
-}
-
-// reap waits for the process to exit, killing it past the deadline.
-// Reports whether the child left on its own.
-func (c *serveChild) reap(wait time.Duration) bool {
-	done := make(chan struct{})
-	go func() { c.cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-		return true
-	case <-time.After(wait):
-		c.cmd.Process.Kill()
-		<-done
-		return false
-	}
-}
-
 // spawnServe forks one -serve node and waits for its startup banner.
 func spawnServe(self string, id graph.ProcessID, topoPath, peersPath string, cfg config) (*serveChild, error) {
-	cmd := exec.Command(self,
+	c, err := startChild(self, id,
 		"-serve",
 		"-id", strconv.Itoa(int(id)),
 		"-topology-file", topoPath,
@@ -371,57 +346,16 @@ func spawnServe(self string, id graph.ProcessID, topoPath, peersPath string, cfg
 		"-tick", cfg.tick.String(),
 		"-http", "127.0.0.1:0",
 	)
-	cmd.Stderr = os.Stderr
-	stdinR, stdinW, err := os.Pipe()
 	if err != nil {
 		return nil, err
 	}
-	cmd.Stdin = stdinR
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		stdinR.Close()
-		stdinW.Close()
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		stdinR.Close()
-		stdinW.Close()
-		return nil, fmt.Errorf("node %d: %v", id, err)
-	}
-	stdinR.Close() // child holds its copy
-	c := &serveChild{id: id, cmd: cmd, stdin: stdinW}
-
-	type banner struct {
-		b   serveBanner
-		err error
-	}
-	bc := make(chan banner, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		if !sc.Scan() {
-			bc <- banner{err: fmt.Errorf("node %d: exited before announcing itself (%v)", id, sc.Err())}
-			return
-		}
-		var b serveBanner
-		if err := json.Unmarshal(sc.Bytes(), &b); err != nil {
-			bc <- banner{err: fmt.Errorf("node %d: bad banner: %v", id, err)}
-			return
-		}
-		bc <- banner{b: b}
-	}()
-	select {
-	case b := <-bc:
-		if b.err != nil {
-			c.release(2 * time.Second)
-			return nil, b.err
-		}
-		c.admin = "http://" + b.b.AdminAddr
-		c.hc = cluster.NewHTTPClient(c.admin)
-		return c, nil
-	case <-time.After(15 * time.Second):
+	var b serveBanner
+	if err := c.readFirst(&b, "startup banner", time.Now().Add(15*time.Second)); err != nil {
 		c.release(2 * time.Second)
-		return nil, fmt.Errorf("node %d: no startup banner", id)
+		return nil, err
 	}
+	admin := "http://" + b.AdminAddr
+	return &serveChild{child: c, admin: admin, hc: cluster.NewHTTPClient(admin)}, nil
 }
 
 // awaitDeliveries polls one node's ledger until count messages of the

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"crypto/tls"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -94,28 +92,13 @@ func runSpawn(cfg config) error {
 		return err
 	}
 
-	type child struct {
-		cmd   *exec.Cmd
-		stdin *os.File // closing it releases the node
-		rep   chan report
-		errc  chan error
-	}
 	children := make([]*child, 0, g.N())
 	defer func() {
 		for _, c := range children {
-			if c.stdin != nil {
-				c.stdin.Close()
-			}
+			c.closeStdin()
 		}
 		for _, c := range children {
-			done := make(chan struct{})
-			go func(c *child) { c.cmd.Wait(); close(done) }(c)
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				c.cmd.Process.Kill()
-				c.cmd.Wait()
-			}
+			c.reap(5 * time.Second)
 		}
 	}()
 
@@ -160,40 +143,10 @@ func runSpawn(cfg config) error {
 				"-cert", certs.nodeCert(p),
 				"-key", certs.nodeKey(p))
 		}
-		cmd := exec.Command(self, args...)
-		cmd.Stderr = os.Stderr
-		stdinR, stdinW, err := os.Pipe()
+		c, err := startChild(self, p, args...)
 		if err != nil {
 			return err
 		}
-		cmd.Stdin = stdinR
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			stdinR.Close()
-			stdinW.Close()
-			return err
-		}
-		if err := cmd.Start(); err != nil {
-			stdinR.Close()
-			stdinW.Close()
-			return fmt.Errorf("node %d: %v", p, err)
-		}
-		stdinR.Close() // child holds its copy
-		c := &child{cmd: cmd, stdin: stdinW, rep: make(chan report, 1), errc: make(chan error, 1)}
-		go func(id graph.ProcessID) {
-			sc := bufio.NewScanner(stdout)
-			sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-			if !sc.Scan() {
-				c.errc <- fmt.Errorf("node %d: exited without a report (%v)", id, sc.Err())
-				return
-			}
-			var r report
-			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-				c.errc <- fmt.Errorf("node %d: bad report: %v", id, err)
-				return
-			}
-			c.rep <- r
-		}(p)
 		children = append(children, c)
 	}
 
@@ -214,17 +167,14 @@ func runSpawn(cfg config) error {
 
 	// Children stop waiting after cfg.timeout and report whatever they
 	// have; allow slack on top for process startup and JSON plumbing.
-	deadline := time.After(cfg.timeout + 15*time.Second)
+	deadline := time.Now().Add(cfg.timeout + 15*time.Second)
 	reports := make([]report, 0, len(children))
-	for i, c := range children {
-		select {
-		case r := <-c.rep:
-			reports = append(reports, r)
-		case err := <-c.errc:
+	for _, c := range children {
+		var r report
+		if err := c.readFirst(&r, "report", deadline); err != nil {
 			return err
-		case <-deadline:
-			return fmt.Errorf("node %d: no report before deadline", i)
 		}
+		reports = append(reports, r)
 	}
 
 	violations := judge(g, reports, workload(g, cfg.seed, cfg.messages))

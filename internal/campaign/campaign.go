@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -68,6 +69,10 @@ func CellSeed(campaignSeed int64, key string, rep int) int64 {
 	return int64(h.Sum64() & (1<<63 - 1))
 }
 
+// ErrNoCells reports a Filter/Quick combination that selects no cell of
+// the grid — a typo'd filter, not an empty campaign to run.
+var ErrNoCells = errors.New("campaign: no cell of the grid matches the filter (quick mode skips heavy cells)")
+
 // Select applies Filter and Quick to the canonical grid.
 func Select(cfg Config) []sim.CellSpec {
 	var prefixes []string
@@ -114,7 +119,8 @@ type job struct {
 // incrementally as cells complete (no barrier until the final report),
 // and returns the report plus the per-cell results (tables, trace text)
 // in canonical order. On context cancellation it returns the partial
-// report together with the context's error.
+// report together with the context's error; a selection with no cells
+// returns ErrNoCells and no report.
 func Run(ctx context.Context, cfg Config) (*Report, []sim.CellResult, error) {
 	seeds := cfg.Seeds
 	if seeds < 1 {
@@ -125,6 +131,9 @@ func Run(ctx context.Context, cfg Config) (*Report, []sim.CellResult, error) {
 		par = runtime.NumCPU()
 	}
 	specs := Select(cfg)
+	if len(specs) == 0 {
+		return nil, nil, ErrNoCells
+	}
 
 	var jobs []job
 	for _, s := range specs {

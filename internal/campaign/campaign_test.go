@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -189,6 +190,25 @@ func TestCancellation(t *testing.T) {
 	_, _, err := Run(ctx, Config{Seed: 1, Filter: "f1,f2"})
 	if err == nil {
 		t.Error("cancelled campaign returned nil error")
+	}
+}
+
+// TestEmptySelectionIsAnError checks that a filter selecting no cell — a
+// typo, or a heavy-only filter under Quick — fails instead of producing
+// an empty report that reads as a passing campaign.
+func TestEmptySelectionIsAnError(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 1, Filter: "zz9"},
+		{Seed: 1, Filter: "nosuch,alsonot"},
+		{Seed: 1, Filter: "f4", Quick: true},
+	} {
+		rep, _, err := Run(context.Background(), cfg)
+		if !errors.Is(err, ErrNoCells) {
+			t.Errorf("filter %q quick=%v: err = %v, want ErrNoCells", cfg.Filter, cfg.Quick, err)
+		}
+		if rep != nil {
+			t.Errorf("filter %q quick=%v: got a report for an empty selection", cfg.Filter, cfg.Quick)
+		}
 	}
 }
 

@@ -119,9 +119,14 @@ func TestPublishBatchConcurrentSubscribeUnsubscribe(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Churners subscribe and unsubscribe continuously. Each transient
-	// subscriber tracks its own event count; since PublishBatch snapshots
-	// the subscriber list per call, every count must be a multiple of the
-	// batch length (plus single publishes, of which there are none here).
+	// subscriber gets its own event counter. unsub does not wait for a
+	// publisher that already loaded the old subscriber snapshot, so a
+	// batch may still be landing on a counter after unsub returns; the
+	// counters are therefore checked only once every publisher is done.
+	var (
+		countersMu sync.Mutex
+		counters   []*atomic.Int64
+	)
 	for c := 0; c < churners; c++ {
 		wg.Add(1)
 		go func() {
@@ -132,14 +137,13 @@ func TestPublishBatchConcurrentSubscribeUnsubscribe(t *testing.T) {
 					return
 				default:
 				}
-				var n atomic.Int64
+				n := new(atomic.Int64)
+				countersMu.Lock()
+				counters = append(counters, n)
+				countersMu.Unlock()
 				unsub := b.Subscribe(func(Event) { n.Add(1) })
 				unsub()
 				unsub() // idempotent
-				if got := n.Load(); got%batchLen != 0 {
-					t.Errorf("transient subscriber saw %d events, not a multiple of batch length %d (torn batch)", got, batchLen)
-					return
-				}
 			}
 		}()
 	}
@@ -160,6 +164,15 @@ func TestPublishBatchConcurrentSubscribeUnsubscribe(t *testing.T) {
 	pubWG.Wait()
 	close(stop)
 	wg.Wait()
+	// Every PublishBatch has returned, so no delivery is in flight: since
+	// PublishBatch snapshots the subscriber list per call, each transient
+	// count must be a multiple of the batch length (plus single
+	// publishes, of which there are none here).
+	for _, n := range counters {
+		if got := n.Load(); got%batchLen != 0 {
+			t.Fatalf("transient subscriber saw %d events, not a multiple of batch length %d (torn batch)", got, batchLen)
+		}
+	}
 	if got := permanent.Load(); got != publishers*batches*batchLen {
 		t.Fatalf("permanent subscriber saw %d events, want %d", got, publishers*batches*batchLen)
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
 
 	"ssmfp/internal/metrics"
 )
@@ -47,8 +46,8 @@ func measureOf(r Result) CellMeasure {
 }
 
 // CellSpec names one cell of the experiment grid: an experiment ID
-// (f1..ep, as in ssmfp-bench -experiment) and, for sweep experiments, the
-// canonical case variant. Heavy marks the cells a -quick campaign skips.
+// (f1..ep) and, for sweep experiments, the canonical case variant. Heavy
+// marks the cells a -quick campaign skips.
 type CellSpec struct {
 	Exp     string `json:"exp"`
 	Variant string `json:"variant,omitempty"`
@@ -82,8 +81,8 @@ var heavyCells = map[string]bool{
 
 // CellGrid enumerates the full experiment grid in canonical order (the
 // order ssmfp-bench prints, f1 → ep). The variants are derived from the
-// same canonical case lists the experiments iterate, so the grid cannot
-// drift from the experiments.
+// same canonical case lists the cells index, so the grid cannot drift
+// from the cells.
 func CellGrid() []CellSpec {
 	var cells []CellSpec
 	add := func(exp, variant string) {
@@ -131,10 +130,8 @@ func CellGrid() []CellSpec {
 	return cells
 }
 
-// CellResult is one cell's outcome: the acceptance verdict (the same
-// criterion ssmfp-bench applies to the full experiment, restricted to
-// this cell), the one-row table fragment (or Text for f3's rendered
-// trace), and the measurements.
+// CellResult is one cell's outcome: the acceptance verdict, the table
+// fragment (or Text for f3's rendered trace), and the measurements.
 type CellResult struct {
 	Spec    CellSpec
 	OK      bool
@@ -143,28 +140,20 @@ type CellResult struct {
 	Measure CellMeasure
 }
 
-// RunCell executes one cell of the grid under the given options. The
-// options' Cases and OnCell fields are overwritten (RunCell owns the
-// case selection); Seed, Paranoid and Ctx are honored. Cells are
-// independent: a cell's numbers do not depend on which other cells run,
-// because sweep experiments tie per-case seeds to canonical case
-// indices, not subset positions.
+// RunCell executes one cell of the grid — the single entry point of every
+// seeded experiment. Cells are independent: a cell's numbers do not depend
+// on which other cells run, because sweep cells tie per-case seeds to
+// canonical case indices. A context already cancelled in o.Ctx returns its
+// error without running the cell.
 func RunCell(spec CellSpec, o Options) (CellResult, error) {
 	res := CellResult{Spec: spec}
-	o.Cases = nil
-	if spec.Variant != "" {
-		o.Cases = []string{spec.Variant}
+	idx, err := variantIndex(spec)
+	if err != nil {
+		return res, err
 	}
-	var captured CellMeasure
-	o.OnCell = func(_ string, m CellMeasure) { captured = m }
-
-	oneRow := func(n int, what string) error {
-		if n != 1 {
-			return fmt.Errorf("sim: cell %s selected %d %s, want 1 (unknown variant?)", spec.Key(), n, what)
-		}
-		return nil
+	if o.cancelled() {
+		return res, o.Ctx.Err()
 	}
-
 	switch spec.Exp {
 	case "f1":
 		r := ExperimentF1()
@@ -187,109 +176,41 @@ func RunCell(spec CellSpec, o Options) (CellResult, error) {
 			Extra:            map[string]float64{"hello_color": float64(r.HelloColor)},
 		}
 	case "f4":
-		r, m := ExperimentF4With(o)
-		res.OK = r.AllTypesHit && r.Consistent
-		res.Table = r.Table
-		res.Measure = m
+		c, m := f4Cell(o)
+		res.OK, res.Table, res.Measure = c.AllTypesHit && c.Consistent, f4Table(c), m
 	case "p4":
-		n, err := variantInt(spec.Variant, "n")
-		if err != nil {
-			return res, err
-		}
-		r := ExperimentP4With(o, []int{n})
-		if err := oneRow(len(r.Rows), "sizes"); err != nil {
-			return res, err
-		}
-		res.OK = r.WithinBound
-		res.Table = r.Table
-		res.Measure = captured
+		row, m := p4Cell(o, P4Sizes[idx])
+		res.OK, res.Table, res.Measure = row.MaxPerDest <= row.Bound, p4Table(row), m
 	case "p5":
-		r := ExperimentP5With(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		res.OK = r.WithinBound
-		res.Table = r.Table
-		res.Measure = captured
+		row, within, m := p5Cell(o, idx)
+		res.OK, res.Table, res.Measure = within, p5Table(row), m
 	case "p6":
-		r := ExperimentP6With(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		res.OK = true
-		res.Table = r.Table
-		res.Measure = captured
+		row, m := p6Cell(o, idx)
+		res.OK, res.Table, res.Measure = true, p6Table(row), m
 	case "p7":
-		d, err := variantInt(spec.Variant, "d")
-		if err != nil {
-			return res, err
-		}
-		r := ExperimentP7With(o, []int{d})
-		if err := oneRow(len(r.Rows), "diameters"); err != nil {
-			return res, err
-		}
-		res.OK = r.Within
-		res.Table = r.Table
-		res.Measure = captured
+		row, within, m := p7Cell(o, P7Diameters[idx])
+		res.OK, res.Table, res.Measure = within, p7Table(row), m
 	case "x1":
-		r, m := ExperimentX1With(o)
-		res.OK = r.SSMFPOK
-		res.Table = r.Table
-		res.Measure = m
+		rows, ok, m := x1Cell(o)
+		res.OK, res.Table, res.Measure = ok, x1Table(rows), m
 	case "x2":
-		r := ExperimentX2With(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		res.OK = r.MaxOverhead < 8
-		res.Table = r.Table
-		res.Measure = captured
+		row, m := x2Cell(o, idx)
+		res.OK, res.Table, res.Measure = row.Overhead < 8, x2Table(row), m
 	case "x3":
-		r := ExperimentX3With(o)
-		if err := oneRow(len(r.Rows), "configurations"); err != nil {
-			return res, err
-		}
-		res.OK = r.AllOK
-		res.Table = r.Table
-		res.Measure = captured
+		row, m := x3Cell(o, idx)
+		res.OK, res.Table, res.Measure = row.ExactlyOnce, x3Table(row), m
 	case "x4":
-		r := ExperimentX4With(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		res.OK = r.AllOK
-		res.Table = r.Table
-		res.Measure = captured
+		row, m := x4Cell(o, idx)
+		res.OK, res.Table, res.Measure = row.Drained && row.ExactlyOnce, x4Table(row), m
 	case "x5":
-		r := ExperimentX5With(o)
-		if err := oneRow(len(r.Rows), "policies"); err != nil {
-			return res, err
-		}
-		res.OK = r.Rows[0].AllDelivered
-		res.Table = r.Table
-		res.Measure = captured
+		row, m := x5Cell(o, x5Policies()[idx])
+		res.OK, res.Table, res.Measure = row.AllDelivered, x5Table(row), m
 	case "x6":
-		r := ExperimentX6With(o)
-		if err := oneRow(len(r.Rows), "storm intensities"); err != nil {
-			return res, err
-		}
-		res.OK = r.AllOK
-		res.Table = r.Table
-		res.Measure = captured
+		row, m := x6Cell(o, X6Waves[idx])
+		res.OK, res.Table, res.Measure = row.PostFaultOK && row.Violations == 0, x6Table(row), m
 	case "ra":
-		r := ExperimentRAWith(o)
-		res.OK = r.Tracks
-		res.Table = r.Table
-		extra := map[string]float64{}
-		for _, row := range r.Rows {
-			pfx := "fast"
-			if row.Variant == "slow A (unit steps)" {
-				pfx = "slow"
-			}
-			extra[pfx+"_ra_rounds"] = float64(row.RoutingRound)
-			extra[pfx+"_probe_delay"] = float64(row.ProbeDelay)
-		}
-		res.Measure = CellMeasure{Extra: extra}
+		rows, tracks, m := raCell(o)
+		res.OK, res.Table, res.Measure = tracks, raTable(rows), m
 	case "mc":
 		r := ExperimentMC()
 		res.OK = r.AllOK
@@ -303,29 +224,26 @@ func RunCell(spec CellSpec, o Options) (CellResult, error) {
 			"literal_r5_states": float64(r.LiteralR5States),
 		}}
 	case "ep":
-		r := ExperimentEnginePerfWith(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		row := r.Rows[0]
+		row, m := epCell(o, idx)
 		res.OK = row.Match && (spec.Variant != "grid-20x20" || row.Ratio >= 3)
-		res.Table = r.Table
-		res.Measure = captured
-	default:
-		return res, fmt.Errorf("sim: unknown experiment %q", spec.Exp)
+		res.Table, res.Measure = epTable(row), m
 	}
 	return res, nil
 }
 
-// variantInt parses sweep variants of the form "<prefix><int>" ("n8",
-// "d4").
-func variantInt(variant, prefix string) (int, error) {
-	if len(variant) <= len(prefix) || variant[:len(prefix)] != prefix {
-		return 0, fmt.Errorf("sim: variant %q: want %s<int>", variant, prefix)
+// variantIndex resolves a spec to its position among its experiment's
+// cells in the grid — the canonical case index the sweep cells take (0
+// for single-cell experiments) — rejecting specs outside the grid.
+func variantIndex(spec CellSpec) (int, error) {
+	i := 0
+	for _, s := range CellGrid() {
+		if s.Exp != spec.Exp {
+			continue
+		}
+		if s.Variant == spec.Variant {
+			return i, nil
+		}
+		i++
 	}
-	n, err := strconv.Atoi(variant[len(prefix):])
-	if err != nil {
-		return 0, fmt.Errorf("sim: variant %q: %v", variant, err)
-	}
-	return n, nil
+	return 0, fmt.Errorf("sim: unknown cell %q", spec.Key())
 }

@@ -13,7 +13,13 @@ import (
 
 // --- E-EP: incremental enabled-set engine vs naive rescan --------------
 
-// EPRow is one sweep point of experiment E-EP.
+// EPRow is one sweep point of experiment E-EP, which compares the
+// incremental enabled-set engine against the naive full rescan on the
+// composed SSMFP+routing program. The two modes must produce bit-identical
+// executions (same steps, same per-rule move counts); the payoff column is
+// guard evaluations per step, which for the naive scan is Θ(n · rules) and
+// for the incremental engine is proportional to the executed processors'
+// neighborhoods.
 type EPRow struct {
 	Topology        string
 	N               int
@@ -23,18 +29,6 @@ type EPRow struct {
 	Ratio           float64 // naive / incremental
 	ProcsSkippedPct float64 // share of processor evaluations the cache avoided
 	Match           bool    // both modes produced identical executions
-}
-
-// EPResult compares the incremental enabled-set engine against the naive
-// full rescan on the composed SSMFP+routing program. The two modes must
-// produce bit-identical executions (same steps, same per-rule move
-// counts); the payoff column is guard evaluations per step, which for the
-// naive scan is Θ(n · rules) and for the incremental engine is
-// proportional to the executed processors' neighborhoods.
-type EPResult struct {
-	Rows     []EPRow
-	AllMatch bool
-	Table    *metrics.Table
 }
 
 // epRun drives one engine over the scenario and reports its stats plus an
@@ -72,8 +66,7 @@ func sameMoves(a, b map[string]int) bool {
 
 // epCase is one sweep point of E-EP. Random graphs derive from a per-case
 // seed offset (not one rng shared across the sweep) so a case builds the
-// same graph whether it runs alone as a campaign cell or inside the full
-// sweep.
+// same graph whichever other cells run.
 type epCase struct {
 	slug    string
 	display string
@@ -139,36 +132,15 @@ func epCell(o Options, idx int) (EPRow, CellMeasure) {
 	}
 }
 
-// ExperimentEnginePerf sweeps grids and random connected graphs at
-// n ∈ {25, 100, 400} under a central random daemon with a random-pairs
-// workload.
-func ExperimentEnginePerf(seed int64) EPResult {
-	return ExperimentEnginePerfWith(Options{Seed: seed})
-}
-
-// ExperimentEnginePerfWith runs the E-EP sweep with explicit options;
-// Options.Cases uses the slugs (grid-5x5 ... random-400).
-func ExperimentEnginePerfWith(o Options) EPResult {
-	res := EPResult{AllMatch: true}
+// epTable renders one E-EP sweep point.
+func epTable(row EPRow) *metrics.Table {
 	t := metrics.NewTable("E-EP: guard evaluations per step — naive rescan vs incremental enabled set",
 		"topology", "n", "steps", "naive evals/step", "incremental evals/step", "ratio", "procs skipped", "identical run")
-	for i, c := range epCases() {
-		if !o.wants(c.slug) || o.cancelled() {
-			continue
-		}
-		row, m := epCell(o, i)
-		o.report(c.slug, m)
-		if !row.Match {
-			res.AllMatch = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.N, row.Steps,
-			fmt.Sprintf("%.0f", row.NaivePerStep),
-			fmt.Sprintf("%.0f", row.IncPerStep),
-			fmt.Sprintf("%.1fx", row.Ratio),
-			fmt.Sprintf("%.1f%%", row.ProcsSkippedPct),
-			row.Match)
-	}
-	res.Table = t
-	return res
+	t.AddRow(row.Topology, row.N, row.Steps,
+		fmt.Sprintf("%.0f", row.NaivePerStep),
+		fmt.Sprintf("%.0f", row.IncPerStep),
+		fmt.Sprintf("%.1fx", row.Ratio),
+		fmt.Sprintf("%.1f%%", row.ProcsSkippedPct),
+		row.Match)
+	return t
 }

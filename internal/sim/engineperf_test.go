@@ -11,12 +11,13 @@ func TestEnginePerfIdenticalExecutions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is expensive in -short mode")
 	}
-	res := ExperimentEnginePerf(42)
-	if !res.AllMatch {
-		t.Fatalf("incremental and naive executions diverged:\n%v", res.Table)
+	if n := len(epCases()); n != 6 {
+		t.Fatalf("expected 6 sweep points, got %d", n)
 	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("expected 6 sweep points, got %d", len(res.Rows))
+	for i := range epCases() {
+		if row, _ := epCell(Options{Seed: 42}, i); !row.Match {
+			t.Fatalf("incremental and naive executions diverged:\n%v", epTable(row))
+		}
 	}
 }
 
@@ -27,19 +28,16 @@ func TestEnginePerfGridRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is expensive in -short mode")
 	}
-	res := ExperimentEnginePerf(7)
-	for _, row := range res.Rows {
-		if row.Topology != "grid 20x20" {
-			continue
-		}
-		if !row.Match {
-			t.Fatalf("20x20 grid executions diverged")
-		}
-		if row.Ratio < 3 {
-			t.Fatalf("20x20 grid guard-eval ratio %.2f < 3x (naive %.0f/step, incremental %.0f/step)",
-				row.Ratio, row.NaivePerStep, row.IncPerStep)
-		}
-		return
+	idx, err := variantIndex(CellSpec{Exp: "ep", Variant: "grid-20x20"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("20x20 grid row missing from sweep")
+	row, _ := epCell(Options{Seed: 7}, idx)
+	if !row.Match {
+		t.Fatalf("20x20 grid executions diverged")
+	}
+	if row.Ratio < 3 {
+		t.Fatalf("20x20 grid guard-eval ratio %.2f < 3x (naive %.0f/step, incremental %.0f/step)",
+			row.Ratio, row.NaivePerStep, row.IncPerStep)
+	}
 }

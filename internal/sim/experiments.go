@@ -26,45 +26,34 @@ func correctTables(g *graph.Graph) []*routing.NodeState {
 	return ts
 }
 
-// Options parameterizes one experiment run explicitly. It replaces the
+// Options parameterizes one experiment cell explicitly. It replaces the
 // SSMFP_PARANOID environment variable as the way paranoia reaches the
-// engines an experiment constructs: the campaign runner executes many
-// cells concurrently in one process, so per-run configuration must not
-// live in process-global mutable state.
+// engines a cell constructs: the campaign runner executes many cells
+// concurrently in one process, so per-run configuration must not live in
+// process-global mutable state.
 type Options struct {
-	// Seed is the experiment's base seed; sweep cases derive their own
-	// seeds from it by canonical case index, so a case produces the same
-	// numbers whether it runs alone (one campaign cell) or inside the
-	// full sweep.
+	// Seed is the cell's base seed; sweep cells derive their own seeds
+	// from it by canonical case index, so a cell produces the same numbers
+	// whichever other cells run beside it.
 	Seed int64
 
 	// Paranoid turns the engine's differential self-check on for every
-	// engine the experiment builds. False keeps the engine default (on
-	// under `go test`, off otherwise) rather than forcing it off.
+	// engine the cell builds. False keeps the engine default (on under
+	// `go test`, off otherwise) rather than forcing it off.
 	Paranoid bool
 
 	// Ctx, when non-nil, aborts long runs early when cancelled
-	// (best-effort; checked at case boundaries and, inside scenario
+	// (best-effort; checked before a cell starts and, inside scenario
 	// runs, every few hundred steps).
 	Ctx context.Context
 
-	// Cases restricts a sweep experiment to the named canonical cases
-	// (nil = all). Unknown names are ignored. Per-case seeds stay tied
-	// to the canonical index, not the subset position.
-	Cases []string
-
-	// Shards > 1 runs every engine the experiment builds on the sharded
+	// Shards > 1 runs every engine the cell builds on the sharded
 	// parallel step engine (statemodel.WithShards): guard evaluation and
 	// non-adjacent action batches execute concurrently across Shards
 	// workers. Executions — and therefore every deterministic quantity
 	// in a campaign report — are bit-identical for any value; sharding
 	// only changes wall-clock time.
 	Shards int
-
-	// OnCell, when non-nil, receives each case's measurements as the
-	// case completes. The campaign runner collects per-cell quantities
-	// through it without running anything twice.
-	OnCell func(name string, m CellMeasure)
 }
 
 // engineOpts translates the options into engine construction options.
@@ -79,29 +68,9 @@ func (o Options) engineOpts() []sm.EngineOption {
 	return opts
 }
 
-// wants reports whether the named case is selected.
-func (o Options) wants(name string) bool {
-	if len(o.Cases) == 0 {
-		return true
-	}
-	for _, c := range o.Cases {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
-
-// cancelled reports a best-effort context check at case boundaries.
+// cancelled reports a best-effort context check.
 func (o Options) cancelled() bool {
 	return o.Ctx != nil && o.Ctx.Err() != nil
-}
-
-// report forwards one case's measurements to the OnCell hook.
-func (o Options) report(name string, m CellMeasure) {
-	if o.OnCell != nil {
-		o.OnCell(name, m)
-	}
 }
 
 // --- E-F1: Figure 1, destination-based buffer graph -------------------
@@ -182,48 +151,32 @@ func ExperimentF2() F2Result {
 
 // --- E-F4: Figure 4, caterpillar classification ------------------------
 
-// F4Result reports the caterpillar census observed along an adversarial
+// F4Census is the caterpillar census observed along an adversarial
 // execution: all three types must occur, and every occupied buffer set must
 // contain at least one caterpillar head (the progress witness of the
 // proofs).
-type F4Result struct {
+type F4Census struct {
 	Seen        map[core.CaterpillarType]int
 	AllTypesHit bool
 	Consistent  bool
-	Table       *metrics.Table
 }
 
-// ExperimentF4 runs a corrupted scenario on the Figure 1 network and
-// classifies every buffer at every step.
-func ExperimentF4(seed int64) F4Result {
-	r, _ := ExperimentF4With(Options{Seed: seed})
-	return r
-}
-
-// ExperimentF4With runs the caterpillar census with explicit options and
-// reports the run's cell measurements alongside the result.
-func ExperimentF4With(o Options) (F4Result, CellMeasure) {
-	seed := o.Seed
+// f4Cell runs a corrupted scenario on the Figure 1 network and classifies
+// every buffer at every step.
+func f4Cell(o Options) (F4Census, CellMeasure) {
 	g := graph.Figure1Network()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(o.Seed))
 	cfg := core.RandomConfig(g, rng, core.DefaultCorrupt)
 	cfg[0].(*core.Node).FW.Enqueue("f4-probe", 4)
 	cfg[3].(*core.Node).FW.Enqueue("f4-probe-2", 2)
-	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(CentralRandom, seed, g.N()), cfg, o.engineOpts()...)
+	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(CentralRandom, o.Seed, g.N()), cfg, o.engineOpts()...)
 
-	res := F4Result{Seen: make(map[core.CaterpillarType]int), Consistent: true}
-	snapshot := func() []sm.State {
-		out := make([]sm.State, g.N())
-		for p := 0; p < g.N(); p++ {
-			out[p] = e.PeekStateOf(graph.ProcessID(p))
-		}
-		return out
-	}
+	res := F4Census{Seen: make(map[core.CaterpillarType]int), Consistent: true}
 	for i := 0; i < 500_000; i++ {
 		if i%1024 == 0 && o.cancelled() {
 			break
 		}
-		cfgNow := snapshot()
+		cfgNow := snapshotStates(e, g)
 		for d := 0; d < g.N(); d++ {
 			census := core.CaterpillarCensus(g, cfgNow, graph.ProcessID(d))
 			for typ, c := range census {
@@ -240,12 +193,6 @@ func ExperimentF4With(o Options) (F4Result, CellMeasure) {
 		}
 	}
 	res.AllTypesHit = res.Seen[core.Type1] > 0 && res.Seen[core.Type2] > 0 && res.Seen[core.Type3] > 0
-	t := metrics.NewTable("E-F4: caterpillar census over an adversarial execution (Figure 4)",
-		"type", "buffer observations")
-	for _, typ := range []core.CaterpillarType{core.Type1, core.Type2, core.Type3} {
-		t.AddRow(typ.String(), res.Seen[typ])
-	}
-	res.Table = t
 	stats := e.Stats()
 	return res, CellMeasure{
 		Steps:      e.Steps(),
@@ -259,24 +206,27 @@ func ExperimentF4With(o Options) (F4Result, CellMeasure) {
 	}
 }
 
+// f4Table renders the E-F4 census, one row per caterpillar type.
+func f4Table(c F4Census) *metrics.Table {
+	t := metrics.NewTable("E-F4: caterpillar census over an adversarial execution (Figure 4)",
+		"type", "buffer observations")
+	for _, typ := range []core.CaterpillarType{core.Type1, core.Type2, core.Type3} {
+		t.AddRow(typ.String(), c.Seen[typ])
+	}
+	return t
+}
+
 // --- E-P4: Proposition 4, ≤ 2n invalid deliveries ----------------------
 
-// P4Row is one sweep point of experiment E-P4.
+// P4Row is one sweep point of experiment E-P4: every buffer of a network
+// of size N is stuffed with invalid messages, and Proposition 4 bounds the
+// invalid messages delivered to any one destination by 2n.
 type P4Row struct {
 	N              int
 	InvalidPlaced  int
 	MaxPerDest     int
 	Bound          int
 	TotalDelivered int
-}
-
-// P4Result sweeps network size with every buffer stuffed with invalid
-// messages and verifies Proposition 4: at most 2n invalid messages are
-// delivered per destination.
-type P4Result struct {
-	Rows        []P4Row
-	WithinBound bool
-	Table       *metrics.Table
 }
 
 // P4Sizes is the canonical size sweep of experiment E-P4.
@@ -314,52 +264,24 @@ func p4Cell(o Options, n int) (P4Row, CellMeasure) {
 	return row, m
 }
 
-// ExperimentP4 runs the invalid-delivery sweep.
-func ExperimentP4(seed int64, sizes []int) P4Result {
-	return ExperimentP4With(Options{Seed: seed}, sizes)
-}
-
-// ExperimentP4With runs the invalid-delivery sweep with explicit options.
-func ExperimentP4With(o Options, sizes []int) P4Result {
-	if len(sizes) == 0 {
-		sizes = P4Sizes
-	}
-	res := P4Result{WithinBound: true}
+// p4Table renders one E-P4 sweep point.
+func p4Table(row P4Row) *metrics.Table {
 	t := metrics.NewTable("E-P4: invalid deliveries per destination vs the 2n bound (Prop. 4)",
 		"n", "invalid placed", "max delivered to one dest", "bound 2n", "total invalid delivered")
-	for _, n := range sizes {
-		if o.cancelled() {
-			break
-		}
-		row, m := p4Cell(o, n)
-		o.report(fmt.Sprintf("n%d", n), m)
-		if row.MaxPerDest > row.Bound {
-			res.WithinBound = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.N, row.InvalidPlaced, row.MaxPerDest, row.Bound, row.TotalDelivered)
-	}
-	res.Table = t
-	return res
+	t.AddRow(row.N, row.InvalidPlaced, row.MaxPerDest, row.Bound, row.TotalDelivered)
+	return t
 }
 
 // --- E-P5: Proposition 5, delivery latency bound -----------------------
 
-// P5Row is one sweep point of experiment E-P5.
+// P5Row is one sweep point of experiment E-P5: worst-case delivery
+// latency must stay within the O(max(R_A, Δ^D)) bound of Proposition 5,
+// and the sweep shows how observed latency grows with D and Δ.
 type P5Row struct {
 	Topology   string
 	Delta, D   int
 	MaxLatency int     // worst observed generation→delivery rounds
 	Bound      float64 // Δ^D reference
-}
-
-// P5Result checks that worst-case delivery latency stays within the
-// O(max(R_A, Δ^D)) bound of Proposition 5 and shows how observed latency
-// grows with D and Δ.
-type P5Result struct {
-	Rows        []P5Row
-	WithinBound bool
-	Table       *metrics.Table
 }
 
 // topoCase is one named topology of a sweep; graphs are built lazily so
@@ -384,8 +306,9 @@ func p5Cases() []topoCase {
 	return cases
 }
 
-// p5Cell runs one canonical case of the E-P5 sweep and reports whether it
-// stayed within the (generously constant-factored) bound.
+// p5Cell runs one canonical case of the E-P5 sweep — adversarial
+// all-to-all cross-traffic from a corrupted configuration — and reports
+// whether it stayed within the (generously constant-factored) bound.
 func p5Cell(o Options, idx int) (P5Row, bool, CellMeasure) {
 	c := p5Cases()[idx]
 	g := c.make()
@@ -419,49 +342,24 @@ func p5Cell(o Options, idx int) (P5Row, bool, CellMeasure) {
 	return row, within, m
 }
 
-// ExperimentP5 sweeps lines (growing D at Δ=2) and stars (growing Δ at
-// D=2) under adversarial cross-traffic and a corrupted initial
-// configuration.
-func ExperimentP5(seed int64) P5Result {
-	return ExperimentP5With(Options{Seed: seed})
-}
-
-// ExperimentP5With runs the E-P5 sweep with explicit options.
-func ExperimentP5With(o Options) P5Result {
-	res := P5Result{WithinBound: true}
+// p5Table renders one E-P5 sweep point.
+func p5Table(row P5Row) *metrics.Table {
 	t := metrics.NewTable("E-P5: worst delivery latency vs Δ^D bound (Prop. 5)",
 		"topology", "Δ", "D", "max latency (rounds)", "Δ^D")
-	for i, c := range p5Cases() {
-		if !o.wants(c.name) || o.cancelled() {
-			continue
-		}
-		row, within, m := p5Cell(o, i)
-		o.report(c.name, m)
-		if !within {
-			res.WithinBound = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.Delta, row.D, row.MaxLatency, row.Bound)
-	}
-	res.Table = t
-	return res
+	t.AddRow(row.Topology, row.Delta, row.D, row.MaxLatency, row.Bound)
+	return t
 }
 
 // --- E-P6: Proposition 6, delay and waiting time -----------------------
 
-// P6Row is one sweep point of experiment E-P6.
+// P6Row is one sweep point of experiment E-P6: the delay (rounds before
+// the first emission) and the waiting time (rounds between consecutive
+// emissions) at a busy processor.
 type P6Row struct {
 	Topology   string
 	Delta, D   int
 	Delay      int // rounds before the probe's first R1
 	MaxWaiting int // max rounds between consecutive R1s at the probe source
-}
-
-// P6Result measures the delay (rounds before the first emission) and the
-// waiting time (rounds between consecutive emissions) at a busy processor.
-type P6Result struct {
-	Rows  []P6Row
-	Table *metrics.Table
 }
 
 // p6Cases is the canonical case list of E-P6.
@@ -473,7 +371,8 @@ func p6Cases() []topoCase {
 	}
 }
 
-// p6Cell runs one canonical case of the E-P6 sweep.
+// p6Cell runs one canonical case of the E-P6 sweep: one source loaded
+// with extra messages under all-to-one cross-traffic toward the same sink.
 func p6Cell(o Options, idx int) (P6Row, CellMeasure) {
 	g := p6Cases()[idx].make()
 	sink := graph.ProcessID(0)
@@ -511,33 +410,19 @@ func p6Cell(o Options, idx int) (P6Row, CellMeasure) {
 	return row, m
 }
 
-// ExperimentP6 loads one source with k messages under all-to-one
-// cross-traffic toward the same sink and measures its emission cadence.
-func ExperimentP6(seed int64) P6Result {
-	return ExperimentP6With(Options{Seed: seed})
-}
-
-// ExperimentP6With runs the E-P6 sweep with explicit options.
-func ExperimentP6With(o Options) P6Result {
-	res := P6Result{}
+// p6Table renders one E-P6 sweep point.
+func p6Table(row P6Row) *metrics.Table {
 	t := metrics.NewTable("E-P6: delay and waiting time at a loaded source (Prop. 6)",
 		"topology", "Δ", "D", "delay (rounds)", "max waiting (rounds)")
-	for i, c := range p6Cases() {
-		if !o.wants(c.name) || o.cancelled() {
-			continue
-		}
-		row, m := p6Cell(o, i)
-		o.report(c.name, m)
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.Delta, row.D, row.Delay, row.MaxWaiting)
-	}
-	res.Table = t
-	return res
+	t.AddRow(row.Topology, row.Delta, row.D, row.Delay, row.MaxWaiting)
+	return t
 }
 
 // --- E-P7: Proposition 7, amortized complexity Θ(D) --------------------
 
-// P7Row is one sweep point of experiment E-P7.
+// P7Row is one sweep point of experiment E-P7: rounds per delivered
+// message grow (at most) linearly in D under saturation — the Θ(D) of
+// Proposition 7, with 3D as the proof's reference constant.
 type P7Row struct {
 	D          int
 	Rounds     int
@@ -545,21 +430,12 @@ type P7Row struct {
 	Amortized  float64
 }
 
-// P7Result verifies the amortized bound: rounds per delivered message grow
-// (at most) linearly in D under saturation — the Θ(D) of Proposition 7,
-// with 3D as the proof's reference constant.
-type P7Result struct {
-	Rows   []P7Row
-	Fit    metrics.Fit
-	Within bool // every point ≤ 3D + constant slack
-	Table  *metrics.Table
-}
-
 // P7Diameters is the canonical diameter sweep of experiment E-P7.
 var P7Diameters = []int{2, 4, 6, 8}
 
-// p7Cell runs one diameter of the E-P7 sweep and reports whether the
-// amortized cost stayed within the 3D (+ slack) reference.
+// p7Cell saturates a line of diameter d with all-to-one traffic and
+// reports whether the amortized cost stayed within the 3D (+ slack)
+// reference.
 func p7Cell(o Options, d int) (P7Row, bool, CellMeasure) {
 	g := graph.Line(d + 1)
 	w := workload.AllToOne(g, 0, 4)
@@ -586,37 +462,12 @@ func p7Cell(o Options, d int) (P7Row, bool, CellMeasure) {
 	return row, row.Amortized <= float64(3*d)+10, m
 }
 
-// ExperimentP7 saturates lines of growing diameter with all-to-one traffic.
-func ExperimentP7(seed int64, diameters []int) P7Result {
-	return ExperimentP7With(Options{Seed: seed}, diameters)
-}
-
-// ExperimentP7With runs the E-P7 sweep with explicit options.
-func ExperimentP7With(o Options, diameters []int) P7Result {
-	if len(diameters) == 0 {
-		diameters = P7Diameters
-	}
-	res := P7Result{Within: true}
+// p7Table renders one E-P7 sweep point.
+func p7Table(row P7Row) *metrics.Table {
 	t := metrics.NewTable("E-P7: amortized rounds per delivery vs D (Prop. 7)",
 		"D", "rounds", "deliveries", "rounds/delivery", "3D reference")
-	var xs, ys []float64
-	for _, d := range diameters {
-		if o.cancelled() {
-			break
-		}
-		row, within, m := p7Cell(o, d)
-		o.report(fmt.Sprintf("d%d", d), m)
-		if !within {
-			res.Within = false
-		}
-		res.Rows = append(res.Rows, row)
-		xs = append(xs, float64(d))
-		ys = append(ys, row.Amortized)
-		t.AddRow(row.D, row.Rounds, row.Deliveries, row.Amortized, 3*d)
-	}
-	res.Fit = metrics.LinearFit(xs, ys)
-	res.Table = t
-	return res
+	t.AddRow(row.D, row.Rounds, row.Deliveries, row.Amortized, 3*row.D)
+	return t
 }
 
 // --- E-X1: SSMFP vs the classical baselines under corruption -----------
@@ -630,27 +481,14 @@ type X1Row struct {
 	Stuck      bool // deadlocked or livelocked
 }
 
-// X1Result contrasts SSMFP with the classical controllers from identical
-// corrupted starting points: SSMFP satisfies SP; the atomic classical
-// controller livelocks without routing repair; the naive shared-memory
-// port loses and duplicates.
-type X1Result struct {
-	Rows    []X1Row
-	SSMFPOK bool
-	Table   *metrics.Table
-}
-
-// ExperimentX1 runs the three protocols on the same ring with the same
-// routing loop and the same traffic.
-func ExperimentX1(seed int64) X1Result {
-	r, _ := ExperimentX1With(Options{Seed: seed})
-	return r
-}
-
-// ExperimentX1With runs the comparison with explicit options.
-func ExperimentX1With(o Options) (X1Result, CellMeasure) {
+// x1Cell runs SSMFP and the classical controllers on the same ring with
+// the same routing loop and the same traffic, from identical corrupted
+// starting points: SSMFP satisfies SP; the atomic classical controller
+// livelocks without routing repair; the naive shared-memory port loses
+// and duplicates. It reports the rows (SSMFP first) and whether SSMFP
+// came out clean.
+func x1Cell(o Options) ([]X1Row, bool, CellMeasure) {
 	seed := o.Seed
-	res := X1Result{}
 	g := graph.Ring(6)
 	const dest = 0
 
@@ -677,7 +515,6 @@ func ExperimentX1With(o Options) (X1Result, CellMeasure) {
 			Stuck:      !terminal,
 		}
 	}()
-	res.SSMFPOK = ssmfpRes.Lost == 0 && ssmfpRes.Violations == 0 && !ssmfpRes.Stuck
 
 	// --- Classical atomic controller, same loop, no routing repair.
 	atomicRow := func() X1Row {
@@ -720,14 +557,8 @@ func ExperimentX1With(o Options) (X1Result, CellMeasure) {
 		}
 	}()
 
-	res.Rows = []X1Row{ssmfpRes, atomicRow, naiveRow}
-	t := metrics.NewTable("E-X1: corrupted initial configuration — SSMFP vs classical controllers",
-		"protocol", "valid delivered", "valid lost", "violations", "stuck (dead/livelock)")
-	for _, r := range res.Rows {
-		t.AddRow(r.Protocol, r.Delivered, r.Lost, r.Violations, r.Stuck)
-	}
-	res.Table = t
-	return res, CellMeasure{
+	ok := ssmfpRes.Lost == 0 && ssmfpRes.Violations == 0 && !ssmfpRes.Stuck
+	return []X1Row{ssmfpRes, atomicRow, naiveRow}, ok, CellMeasure{
 		DeliveredValid: ssmfpRes.Delivered,
 		Extra: map[string]float64{
 			"ssmfp_violations": float64(ssmfpRes.Violations),
@@ -736,25 +567,29 @@ func ExperimentX1With(o Options) (X1Result, CellMeasure) {
 	}
 }
 
+// x1Table renders the E-X1 comparison, one row per protocol.
+func x1Table(rows []X1Row) *metrics.Table {
+	t := metrics.NewTable("E-X1: corrupted initial configuration — SSMFP vs classical controllers",
+		"protocol", "valid delivered", "valid lost", "violations", "stuck (dead/livelock)")
+	for _, r := range rows {
+		t.AddRow(r.Protocol, r.Delivered, r.Lost, r.Violations, r.Stuck)
+	}
+	return t
+}
+
 // --- E-X2: fault-free overhead ------------------------------------------
 
-// X2Row is one topology's cost comparison in experiment E-X2.
+// X2Row is one topology's cost comparison in experiment E-X2. It
+// quantifies the paper's closing claim: snap-stabilization without
+// significant overcost with respect to the fault-free algorithm — the
+// per-message move overhead of SSMFP over the classical atomic controller
+// is a small constant (≈3×: copy + internal move + erase per hop instead
+// of one atomic move).
 type X2Row struct {
 	Topology       string
 	SSMFPMoves     float64 // forwarding moves per delivered message
 	ClassicalMoves float64 // atomic moves per delivered message
 	Overhead       float64
-}
-
-// X2Result quantifies the paper's closing claim: snap-stabilization without
-// significant overcost with respect to the fault-free algorithm — the
-// per-message move overhead of SSMFP over the classical atomic controller
-// is a small constant (≈3×: copy + internal move + erase per hop instead
-// of one atomic move).
-type X2Result struct {
-	Rows        []X2Row
-	MaxOverhead float64
-	Table       *metrics.Table
 }
 
 // x2Cases is the canonical case list of E-X2.
@@ -767,7 +602,8 @@ func x2Cases() []topoCase {
 	}
 }
 
-// x2Cell runs one topology of the E-X2 comparison.
+// x2Cell runs identical permutation traffic fault-free through SSMFP and
+// the classical controller on one topology of the E-X2 comparison.
 func x2Cell(o Options, idx int) (X2Row, CellMeasure) {
 	g := x2Cases()[idx].make()
 	rng := rand.New(rand.NewSource(o.Seed + int64(idx)))
@@ -813,29 +649,10 @@ func x2Cell(o Options, idx int) (X2Row, CellMeasure) {
 	return row, m
 }
 
-// ExperimentX2 runs identical permutation traffic fault-free on several
-// topologies.
-func ExperimentX2(seed int64) X2Result {
-	return ExperimentX2With(Options{Seed: seed})
-}
-
-// ExperimentX2With runs the E-X2 comparison with explicit options.
-func ExperimentX2With(o Options) X2Result {
-	res := X2Result{}
+// x2Table renders one E-X2 topology.
+func x2Table(row X2Row) *metrics.Table {
 	t := metrics.NewTable("E-X2: fault-free moves per message — SSMFP vs classical controller",
 		"topology", "SSMFP moves/msg", "classical moves/msg", "overhead")
-	for i, c := range x2Cases() {
-		if !o.wants(c.name) || o.cancelled() {
-			continue
-		}
-		row, m := x2Cell(o, i)
-		o.report(c.name, m)
-		if row.Overhead > res.MaxOverhead {
-			res.MaxOverhead = row.Overhead
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.SSMFPMoves, row.ClassicalMoves, row.Overhead)
-	}
-	res.Table = t
-	return res
+	t.AddRow(row.Topology, row.SSMFPMoves, row.ClassicalMoves, row.Overhead)
+	return t
 }

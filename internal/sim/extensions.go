@@ -18,6 +18,10 @@ import (
 // --- E-X4: buffer economy of the §4 alternative scheme -----------------
 
 // X4Row compares per-node buffer budgets across schemes for one topology.
+// It quantifies the conclusion's discussion: the acyclic-covering buffer
+// graph needs far fewer buffers (3 for a ring, 2 for a tree), at the price
+// of general applicability (NP-hard minimal rank; our alternating cover is
+// an upper bound) and sometimes path stretch (clockwise-only ring routing).
 type X4Row struct {
 	Topology    string
 	N           int
@@ -27,17 +31,6 @@ type X4Row struct {
 	Stretch     float64 // average path length / average shortest distance
 	Drained     bool    // the k-buffer controller delivered everything
 	ExactlyOnce bool
-}
-
-// X4Result quantifies the conclusion's discussion: the acyclic-covering
-// buffer graph needs far fewer buffers (3 for a ring, 2 for a tree), at
-// the price of general applicability (NP-hard minimal rank; our
-// alternating cover is an upper bound) and sometimes path stretch
-// (clockwise-only ring routing).
-type X4Result struct {
-	Rows  []X4Row
-	AllOK bool
-	Table *metrics.Table
 }
 
 // x4Case is one scheme/topology case of E-X4. The slug is the campaign
@@ -81,7 +74,10 @@ func x4Cases() []x4Case {
 	}
 }
 
-// x4Cell runs one canonical case of E-X4.
+// x4Cell runs permutation traffic through the level-buffer controller for
+// one canonical case of E-X4: a ring (specialized 3-cover, clockwise
+// routing), a tree (2-cover, minimal routing), or a general graph
+// (alternating cover).
 func x4Cell(o Options, idx int) (X4Row, CellMeasure) {
 	c := x4Cases()[idx]
 	g, cover, tables := c.make(o.Seed)
@@ -124,33 +120,12 @@ func x4Cell(o Options, idx int) (X4Row, CellMeasure) {
 	}
 }
 
-// ExperimentX4 runs permutation traffic through the level-buffer
-// controller on a ring (specialized 3-cover, clockwise routing), a tree
-// (2-cover, minimal routing), and general graphs (alternating cover).
-func ExperimentX4(seed int64) X4Result {
-	return ExperimentX4With(Options{Seed: seed})
-}
-
-// ExperimentX4With runs the E-X4 sweep with explicit options; case names
-// in Options.Cases use the slugs (ring-8, tree-15, grid-3x3, random-10).
-func ExperimentX4With(o Options) X4Result {
-	res := X4Result{AllOK: true}
+// x4Table renders one E-X4 case.
+func x4Table(row X4Row) *metrics.Table {
 	t := metrics.NewTable("E-X4: buffers per node — SSMFP vs destination-based vs acyclic cover (§4)",
 		"topology", "n", "SSMFP (2n)", "dest-based (n)", "acyclic cover (k)", "path stretch", "exactly once")
-	for i, c := range x4Cases() {
-		if !o.wants(c.slug) || o.cancelled() {
-			continue
-		}
-		row, m := x4Cell(o, i)
-		o.report(c.slug, m)
-		if !row.Drained || !row.ExactlyOnce {
-			res.AllOK = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.N, row.SSMFP, row.DestBased, row.AcyclicK, row.Stretch, row.ExactlyOnce)
-	}
-	res.Table = t
-	return res
+	t.AddRow(row.Topology, row.N, row.SSMFP, row.DestBased, row.AcyclicK, row.Stretch, row.ExactlyOnce)
+	return t
 }
 
 // tableDistance follows the tables, counting hops.
@@ -168,7 +143,13 @@ func tableDistance(tables []*routing.NodeState, p, d graph.ProcessID) int {
 
 // --- E-X5: choice_p(d) policy ablation ----------------------------------
 
-// X5Row is one policy's outcome.
+// X5Row is one policy's outcome in experiment E-X5, which ablates the fair
+// selection scheme behind choice_p(d) — the paper's conclusion suggests
+// modifying it to improve the worst case, and its fairness requirement
+// exists to prevent starvation. The probe is one message from the
+// highest-ID leaf of a star whose other leaves hammer the center; an
+// unfair policy serves it last (or never, under sustained load), the fair
+// policies serve it within the Δ+1 passing bound.
 type X5Row struct {
 	Policy        string
 	AllDelivered  bool
@@ -176,19 +157,8 @@ type X5Row struct {
 	MaxLatency    int // worst latency (rounds) across all messages
 }
 
-// X5Result ablates the fair selection scheme behind choice_p(d) — the
-// paper's conclusion suggests modifying it to improve the worst case, and
-// its fairness requirement exists to prevent starvation. The probe is one
-// message from the highest-ID leaf of a star whose other leaves hammer
-// the center; an unfair policy serves it last (or never, under sustained
-// load), the fair policies serve it within the Δ+1 passing bound.
-type X5Result struct {
-	Rows  []X5Row
-	Table *metrics.Table
-}
-
-// x5Policies is the canonical policy list of E-X5; Options.Cases and the
-// campaign cell variants use the policies' String() names.
+// x5Policies is the canonical policy list of E-X5; the campaign cell
+// variants use the policies' String() names.
 func x5Policies() []core.ChoicePolicy {
 	return []core.ChoicePolicy{core.PolicyQueue, core.PolicyRotating, core.PolicyLowestID}
 }
@@ -236,46 +206,25 @@ func x5Cell(o Options, policy core.ChoicePolicy) (X5Row, CellMeasure) {
 	}
 }
 
-// ExperimentX5 runs the same loaded star under each policy.
-func ExperimentX5(seed int64) X5Result {
-	return ExperimentX5With(Options{Seed: seed})
-}
-
-// ExperimentX5With runs the policy ablation with explicit options.
-func ExperimentX5With(o Options) X5Result {
-	res := X5Result{}
+// x5Table renders one E-X5 policy.
+func x5Table(row X5Row) *metrics.Table {
 	t := metrics.NewTable("E-X5: choice policy ablation on a loaded star (§4 future work)",
 		"policy", "all delivered", "probe delivered at step", "max latency (rounds)")
-	for _, policy := range x5Policies() {
-		if !o.wants(policy.String()) || o.cancelled() {
-			continue
-		}
-		row, m := x5Cell(o, policy)
-		o.report(policy.String(), m)
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Policy, row.AllDelivered, row.ProbeDelivery, row.MaxLatency)
-	}
-	res.Table = t
-	return res
+	t.AddRow(row.Policy, row.AllDelivered, row.ProbeDelivery, row.MaxLatency)
+	return t
 }
 
 // --- E-X6: transient faults mid-execution -------------------------------
 
-// X6Row is one fault-storm configuration.
+// X6Row is one fault-storm configuration of experiment E-X6, which
+// demonstrates the defining property of snap-stabilization with mid-run
+// transient faults instead of a corrupted time zero: after every strike,
+// newly generated messages are still delivered exactly once.
 type X6Row struct {
 	Waves       int
 	Compromised int
 	PostFaultOK bool
 	Violations  int
-}
-
-// X6Result demonstrates the defining property of snap-stabilization with
-// mid-run transient faults instead of a corrupted time zero: after every
-// strike, newly generated messages are still delivered exactly once.
-type X6Result struct {
-	Rows  []X6Row
-	AllOK bool
-	Table *metrics.Table
 }
 
 // X6Waves is the canonical storm-intensity sweep of E-X6; campaign cell
@@ -332,28 +281,10 @@ func x6Cell(o Options, waves int) (X6Row, CellMeasure) {
 	}
 }
 
-// ExperimentX6 runs fault storms of growing intensity.
-func ExperimentX6(seed int64) X6Result {
-	return ExperimentX6With(Options{Seed: seed})
-}
-
-// ExperimentX6With runs the fault-storm sweep with explicit options.
-func ExperimentX6With(o Options) X6Result {
-	res := X6Result{AllOK: true}
+// x6Table renders one E-X6 storm intensity.
+func x6Table(row X6Row) *metrics.Table {
 	t := metrics.NewTable("E-X6: transient fault storms (snap-stabilization mid-run)",
 		"fault waves", "messages compromised by faults", "post-fault exactly-once", "violations")
-	for _, waves := range X6Waves {
-		if !o.wants(fmt.Sprintf("w%d", waves)) || o.cancelled() {
-			continue
-		}
-		row, m := x6Cell(o, waves)
-		o.report(fmt.Sprintf("w%d", waves), m)
-		if !row.PostFaultOK || row.Violations > 0 {
-			res.AllOK = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Waves, row.Compromised, row.PostFaultOK, row.Violations)
-	}
-	res.Table = t
-	return res
+	t.AddRow(row.Waves, row.Compromised, row.PostFaultOK, row.Violations)
+	return t
 }

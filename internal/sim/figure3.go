@@ -29,6 +29,13 @@ type F3Result struct {
 	ValidDelivered   int
 	InvalidDelivered int
 	Trace            string
+
+	// Header and Events are the replay's JSONL trace header and typed
+	// event stream — exactly what Scenario.TraceOut would have streamed:
+	// feeding them through obs.WriteJSONL → obs.Load → trace.ReplayFrames
+	// reproduces Trace byte for byte (the golden round-trip).
+	Header obs.Header
+	Events []obs.Event
 }
 
 // ExperimentF3 reenacts the execution example of the paper's Figure 3 on
@@ -48,20 +55,6 @@ type F3Result struct {
 // avoidance, no merge of equal payloads, repair mid-flight, exactly-once —
 // are all asserted.
 func ExperimentF3() F3Result {
-	r, _, _ := experimentF3(false)
-	return r
-}
-
-// ExperimentF3Recorded runs the Figure 3 replay while recording its typed
-// event stream and JSONL trace header. The returned header and events are
-// exactly what Scenario.TraceOut would have streamed: feeding them through
-// obs.WriteJSONL → obs.Load → trace.ReplayFrames reproduces the rendered
-// trace in F3Result.Trace byte for byte (the golden round-trip).
-func ExperimentF3Recorded() (F3Result, obs.Header, []obs.Event) {
-	return experimentF3(true)
-}
-
-func experimentF3(record bool) (F3Result, obs.Header, []obs.Event) {
 	g := graph.Figure3Network()
 	const a, b, c = 0, 1, 2
 	res := F3Result{}
@@ -120,12 +113,8 @@ func experimentF3(record bool) (F3Result, obs.Header, []obs.Event) {
 	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	rec := trace.NewRecorder(e, trace.NewRenderer(g, Figure3Names), b, 0)
-	var hdr obs.Header
-	var events []obs.Event
-	if record {
-		hdr = trace.HeaderFor(g, Figure3Names, cfg, "figure3", b)
-		e.Obs().Subscribe(func(ev obs.Event) { events = append(events, ev) })
-	}
+	res.Header = trace.HeaderFor(g, Figure3Names, cfg, "figure3", b)
+	e.Obs().Subscribe(func(ev obs.Event) { res.Events = append(res.Events, ev) })
 
 	engNode := func(p graph.ProcessID) *core.Node { return e.PeekStateOf(p).(*core.Node) }
 	for i := range script {
@@ -189,7 +178,7 @@ func experimentF3(record bool) (F3Result, obs.Header, []obs.Event) {
 	}
 	res.Trace = rec.String()
 	res.OK = len(res.Failures) == 0
-	return res, hdr, events
+	return res
 }
 
 func snapshotStates(e *sm.Engine, g *graph.Graph) []sm.State {

@@ -18,7 +18,8 @@ import (
 // configuration, and require the re-rendered frames to be byte-identical
 // to the live recording.
 func TestF3TraceRoundTripsThroughJSONL(t *testing.T) {
-	res, hdr, events := ExperimentF3Recorded()
+	res := ExperimentF3()
+	hdr, events := res.Header, res.Events
 	if !res.OK {
 		t.Fatalf("F3 replay failed: %v", res.Failures)
 	}

@@ -11,7 +11,7 @@ import (
 	sm "ssmfp/internal/statemodel"
 )
 
-// RARow is one routing-variant measurement.
+// RARow is one routing-variant measurement of experiment E-RA.
 type RARow struct {
 	Variant      string
 	RoutingRound int // R_A: rounds until every table is canonical
@@ -19,7 +19,7 @@ type RARow struct {
 	ProbeOK      bool
 }
 
-// RAResult isolates the max(R_A, ·) term of Propositions 5-7: the same
+// raCell isolates the max(R_A, ·) term of Propositions 5-7: the same
 // corrupted scenario is run with the normal routing algorithm A and with a
 // deliberately slowed variant (routing.NewSlowProgram). A is prioritized,
 // so a processor whose table is still wrong cannot execute R1; the probe's
@@ -28,24 +28,10 @@ type RARow struct {
 // empirically. (End-to-end latency does NOT have to track global R_A: a
 // message only needs the tables along its own path, which usually repair
 // long before the whole network is silent — a nuance the bound hides.)
-type RAResult struct {
-	Rows   []RARow
-	Tracks bool // slow R_A > fast R_A and slow latency > fast latency
-	Table  *metrics.Table
-}
-
-// ExperimentRA runs the ablation.
-func ExperimentRA(seed int64) RAResult {
-	return ExperimentRAWith(Options{Seed: seed})
-}
-
-// ExperimentRAWith runs the ablation with explicit options.
-func ExperimentRAWith(o Options) RAResult {
+// It reports the fast and slow rows and whether the slow variant's R_A
+// and probe delay both exceed the fast one's.
+func raCell(o Options) ([]RARow, bool, CellMeasure) {
 	seed := o.Seed
-	res := RAResult{}
-	t := metrics.NewTable("E-RA: generation delay tracks R_A (the max(R_A, ·) term of Props. 5-7)",
-		"routing variant", "R_A (rounds)", "probe generation delay (rounds)", "probe delivered")
-
 	run := func(name string, prog func(*graph.Graph, routing.Accessor) sm.Program) RARow {
 		g := graph.Grid(3, 3)
 		rng := rand.New(rand.NewSource(seed))
@@ -88,13 +74,23 @@ func ExperimentRAWith(o Options) RAResult {
 
 	fast := run("fast A (jump to target)", routing.NewProgram)
 	slow := run("slow A (unit steps)", routing.NewSlowProgram)
-	res.Rows = []RARow{fast, slow}
-	res.Tracks = fast.ProbeOK && slow.ProbeOK &&
+	tracks := fast.ProbeOK && slow.ProbeOK &&
 		slow.RoutingRound > fast.RoutingRound &&
 		slow.ProbeDelay > fast.ProbeDelay
-	for _, r := range res.Rows {
+	return []RARow{fast, slow}, tracks, CellMeasure{Extra: map[string]float64{
+		"fast_ra_rounds":   float64(fast.RoutingRound),
+		"fast_probe_delay": float64(fast.ProbeDelay),
+		"slow_ra_rounds":   float64(slow.RoutingRound),
+		"slow_probe_delay": float64(slow.ProbeDelay),
+	}}
+}
+
+// raTable renders the E-RA ablation, one row per routing variant.
+func raTable(rows []RARow) *metrics.Table {
+	t := metrics.NewTable("E-RA: generation delay tracks R_A (the max(R_A, ·) term of Props. 5-7)",
+		"routing variant", "R_A (rounds)", "probe generation delay (rounds)", "probe delivered")
+	for _, r := range rows {
 		t.AddRow(r.Variant, r.RoutingRound, r.ProbeDelay, r.ProbeOK)
 	}
-	res.Table = t
-	return res
+	return t
 }

@@ -2,9 +2,10 @@
 // experiments: topology + initial configuration (clean or adversarial) +
 // daemon + workload, executed on the state-model engine with the
 // specification oracles attached, yielding a structured Result. The
-// experiment drivers (experiments.go, figure3.go) regenerate every figure
-// and proposition of the paper; cmd/ssmfp-bench prints their tables and
-// bench_test.go turns each into a testing.B benchmark.
+// experiment cells (cells.go dispatching to experiments.go, extensions.go,
+// figure3.go, ...) regenerate every figure and proposition of the paper
+// through one entry point, RunCell; cmd/ssmfp-bench prints their tables
+// and bench_test.go runs each cell as a testing.B sub-benchmark.
 package sim
 
 import (

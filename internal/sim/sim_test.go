@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,6 +10,7 @@ import (
 
 	"ssmfp/internal/core"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/metrics"
 	sm "ssmfp/internal/statemodel"
 	"ssmfp/internal/workload"
 )
@@ -132,21 +134,21 @@ func TestExperimentF3(t *testing.T) {
 }
 
 func TestExperimentF4(t *testing.T) {
-	r := ExperimentF4(11)
-	if !r.Consistent {
+	c, _ := f4Cell(Options{Seed: 11})
+	if !c.Consistent {
 		t.Fatal("caterpillar census inconsistent (occupied buffers without a head)")
 	}
-	if !r.AllTypesHit {
-		t.Fatalf("not all caterpillar types observed: %v", r.Seen)
+	if !c.AllTypesHit {
+		t.Fatalf("not all caterpillar types observed: %v", c.Seen)
 	}
 }
 
 func TestExperimentP4(t *testing.T) {
-	r := ExperimentP4(3, []int{4, 6})
-	if !r.WithinBound {
-		t.Fatalf("Proposition 4 bound violated: %+v", r.Rows)
-	}
-	for _, row := range r.Rows {
+	for _, n := range []int{4, 6} {
+		row, _ := p4Cell(Options{Seed: 3}, n)
+		if row.MaxPerDest > row.Bound {
+			t.Fatalf("Proposition 4 bound violated: %+v", row)
+		}
 		if row.TotalDelivered == 0 {
 			t.Fatal("expected some invalid deliveries under full corruption")
 		}
@@ -154,11 +156,11 @@ func TestExperimentP4(t *testing.T) {
 }
 
 func TestExperimentP6(t *testing.T) {
-	r := ExperimentP6(5)
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if n := len(p6Cases()); n != 3 {
+		t.Fatalf("cases = %d", n)
 	}
-	for _, row := range r.Rows {
+	for i := range p6Cases() {
+		row, _ := p6Cell(Options{Seed: 5}, i)
 		if row.MaxWaiting <= 0 {
 			t.Fatalf("waiting time not measured: %+v", row)
 		}
@@ -166,19 +168,22 @@ func TestExperimentP6(t *testing.T) {
 }
 
 func TestExperimentP7(t *testing.T) {
-	r := ExperimentP7(5, []int{2, 4, 6})
-	if !r.Within {
-		t.Fatalf("amortized complexity above 3D reference: %+v", r.Rows)
-	}
-	for _, row := range r.Rows {
+	var xs, ys []float64
+	for _, d := range []int{2, 4, 6} {
+		row, within, _ := p7Cell(Options{Seed: 5}, d)
+		if !within {
+			t.Fatalf("amortized complexity above 3D reference: %+v", row)
+		}
 		if row.Deliveries == 0 || row.Amortized <= 0 {
 			t.Fatalf("bad row: %+v", row)
 		}
+		xs = append(xs, float64(d))
+		ys = append(ys, row.Amortized)
 	}
 	// Amortized cost must not explode: the fit over D should be sublinear
 	// in absolute terms (slope well below the 3·D proof constant).
-	if r.Fit.Slope > 3.0 {
-		t.Fatalf("amortized slope %v too steep", r.Fit.Slope)
+	if fit := metrics.LinearFit(xs, ys); fit.Slope > 3.0 {
+		t.Fatalf("amortized slope %v too steep", fit.Slope)
 	}
 }
 
@@ -186,28 +191,28 @@ func TestExperimentP5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("P5 sweep is the slowest experiment; skipped in -short mode")
 	}
-	r := ExperimentP5(5)
-	if !r.WithinBound {
-		t.Fatalf("Proposition 5 bound violated: %+v", r.Rows)
-	}
-	// Latency must grow with the diameter along the line sweep.
 	var lines []P5Row
-	for _, row := range r.Rows {
+	for i := range p5Cases() {
+		row, within, _ := p5Cell(Options{Seed: 5}, i)
+		if !within {
+			t.Fatalf("Proposition 5 bound violated: %+v", row)
+		}
 		if strings.HasPrefix(row.Topology, "line-") {
 			lines = append(lines, row)
 		}
 	}
+	// Latency must grow with the diameter along the line sweep.
 	if len(lines) < 2 || lines[len(lines)-1].MaxLatency <= lines[0].MaxLatency {
 		t.Fatalf("latency should grow with D: %+v", lines)
 	}
 }
 
 func TestExperimentX1(t *testing.T) {
-	r := ExperimentX1(9)
-	if !r.SSMFPOK {
-		t.Fatalf("SSMFP failed in the comparison: %+v", r.Rows[0])
+	rows, ok, _ := x1Cell(Options{Seed: 9})
+	if !ok {
+		t.Fatalf("SSMFP failed in the comparison: %+v", rows[0])
 	}
-	atomic, naive := r.Rows[1], r.Rows[2]
+	atomic, naive := rows[1], rows[2]
 	if !atomic.Stuck {
 		t.Fatalf("classical atomic controller should livelock in the loop: %+v", atomic)
 	}
@@ -217,11 +222,11 @@ func TestExperimentX1(t *testing.T) {
 }
 
 func TestExperimentX2(t *testing.T) {
-	r := ExperimentX2(13)
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if n := len(x2Cases()); n != 4 {
+		t.Fatalf("cases = %d", n)
 	}
-	for _, row := range r.Rows {
+	for i := range x2Cases() {
+		row, _ := x2Cell(Options{Seed: 13}, i)
 		if row.SSMFPMoves <= 0 || row.ClassicalMoves <= 0 {
 			t.Fatalf("bad row: %+v", row)
 		}
@@ -232,46 +237,49 @@ func TestExperimentX2(t *testing.T) {
 }
 
 func TestExperimentX3(t *testing.T) {
-	r := ExperimentX3(21)
-	if !r.AllOK {
-		t.Fatalf("message-passing port violated exactly-once: %+v", r.Rows)
+	if n := len(x3Cases()); n != 3 {
+		t.Fatalf("cases = %d", n)
 	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-}
-
-func TestExperimentX4(t *testing.T) {
-	r := ExperimentX4(31)
-	if !r.AllOK {
-		t.Fatalf("acyclic-cover controller failed: %+v", r.Rows)
-	}
-	if r.Rows[0].AcyclicK != 3 {
-		t.Fatalf("ring cover size = %d, want 3 (the paper's '3 for a ring')", r.Rows[0].AcyclicK)
-	}
-	if r.Rows[1].AcyclicK != 2 {
-		t.Fatalf("tree cover size = %d, want 2 (the paper's '2 for a tree')", r.Rows[1].AcyclicK)
-	}
-	if r.Rows[0].Stretch <= 1.0 {
-		t.Fatalf("clockwise ring routing must show stretch > 1, got %v", r.Rows[0].Stretch)
-	}
-	if r.Rows[1].Stretch != 1.0 {
-		t.Fatalf("tree routing is minimal, stretch = %v", r.Rows[1].Stretch)
-	}
-	for _, row := range r.Rows {
-		if row.AcyclicK >= row.DestBased {
-			t.Fatalf("cover should beat the destination scheme on buffers: %+v", row)
+	for i := range x3Cases() {
+		if row, _ := x3Cell(Options{Seed: 21}, i); !row.ExactlyOnce {
+			t.Fatalf("message-passing port violated exactly-once: %+v", row)
 		}
 	}
 }
 
+func TestExperimentX4(t *testing.T) {
+	var rows []X4Row
+	for i := range x4Cases() {
+		row, _ := x4Cell(Options{Seed: 31}, i)
+		if !row.Drained || !row.ExactlyOnce {
+			t.Fatalf("acyclic-cover controller failed: %+v", row)
+		}
+		if row.AcyclicK >= row.DestBased {
+			t.Fatalf("cover should beat the destination scheme on buffers: %+v", row)
+		}
+		rows = append(rows, row)
+	}
+	if rows[0].AcyclicK != 3 {
+		t.Fatalf("ring cover size = %d, want 3 (the paper's '3 for a ring')", rows[0].AcyclicK)
+	}
+	if rows[1].AcyclicK != 2 {
+		t.Fatalf("tree cover size = %d, want 2 (the paper's '2 for a tree')", rows[1].AcyclicK)
+	}
+	if rows[0].Stretch <= 1.0 {
+		t.Fatalf("clockwise ring routing must show stretch > 1, got %v", rows[0].Stretch)
+	}
+	if rows[1].Stretch != 1.0 {
+		t.Fatalf("tree routing is minimal, stretch = %v", rows[1].Stretch)
+	}
+}
+
 func TestExperimentX5(t *testing.T) {
-	r := ExperimentX5(33)
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if n := len(x5Policies()); n != 3 {
+		t.Fatalf("policies = %d", n)
 	}
 	byPolicy := map[string]X5Row{}
-	for _, row := range r.Rows {
+	for _, policy := range x5Policies() {
+		row, _ := x5Cell(Options{Seed: 33}, policy)
 		byPolicy[row.Policy] = row
 		if !row.AllDelivered {
 			t.Fatalf("policy %s failed to deliver (finite supply: even unfair policies finish): %+v", row.Policy, row)
@@ -288,22 +296,25 @@ func TestExperimentX5(t *testing.T) {
 }
 
 func TestExperimentX6(t *testing.T) {
-	r := ExperimentX6(35)
-	if !r.AllOK {
-		t.Fatalf("fault-storm experiment failed: %+v", r.Rows)
+	var last X6Row
+	for _, waves := range X6Waves {
+		last, _ = x6Cell(Options{Seed: 35}, waves)
+		if !last.PostFaultOK || last.Violations > 0 {
+			t.Fatalf("fault-storm experiment failed: %+v", last)
+		}
 	}
-	if r.Rows[len(r.Rows)-1].Compromised == 0 {
+	if last.Compromised == 0 {
 		t.Fatal("the heaviest storm should compromise something")
 	}
 }
 
 func TestExperimentRA(t *testing.T) {
-	r := ExperimentRA(47)
-	if !r.Tracks {
-		t.Fatalf("latency should track R_A: %+v", r.Rows)
+	rows, tracks, _ := raCell(Options{Seed: 47})
+	if !tracks {
+		t.Fatalf("latency should track R_A: %+v", rows)
 	}
-	if r.Rows[0].RoutingRound < 0 || r.Rows[1].RoutingRound < 0 {
-		t.Fatalf("R_A never observed: %+v", r.Rows)
+	if rows[0].RoutingRound < 0 || rows[1].RoutingRound < 0 {
+		t.Fatalf("R_A never observed: %+v", rows)
 	}
 }
 
@@ -369,5 +380,23 @@ func TestExperimentMC(t *testing.T) {
 	}
 	if !r.LiteralR5Found || len(r.Witness) != 2 {
 		t.Fatalf("literal R5 witness wrong: found=%v witness=%v", r.LiteralR5Found, r.Witness)
+	}
+}
+
+func TestRunCellRejectsUnknownCells(t *testing.T) {
+	for _, spec := range []CellSpec{
+		{Exp: "zz9"},
+		{Exp: "p4", Variant: "n7"},
+		{Exp: "p5"},
+		{Exp: "f1", Variant: "extra"},
+	} {
+		if _, err := RunCell(spec, Options{Seed: 1}); err == nil {
+			t.Errorf("RunCell(%s) accepted a cell outside the grid", spec.Key())
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunCell(CellSpec{Exp: "f1"}, Options{Seed: 1, Ctx: ctx}); err == nil {
+		t.Error("RunCell ran under a cancelled context")
 	}
 }

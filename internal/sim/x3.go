@@ -9,7 +9,10 @@ import (
 	"ssmfp/internal/msgpass"
 )
 
-// X3Row is one configuration of the message-passing experiment.
+// X3Row is one configuration of experiment E-X3, which exercises the
+// message-passing port (the paper's open problem, §4): the same
+// exactly-once guarantee on real asynchronous channels, with corrupted
+// initial state and lossy links.
 type X3Row struct {
 	Config      string
 	Sent        int
@@ -19,18 +22,9 @@ type X3Row struct {
 	ExactlyOnce bool
 }
 
-// X3Result exercises the message-passing port (the paper's open problem,
-// §4): the same exactly-once guarantee on real asynchronous channels, with
-// corrupted initial state and lossy links.
-type X3Result struct {
-	Rows  []X3Row
-	AllOK bool
-	Table *metrics.Table
-}
-
 // x3Case is one regime of the message-passing experiment. The opts
 // constructor keeps the legacy seed offsets (seed, seed+1, seed+2) so the
-// regimes stay independent of which subset runs.
+// regimes stay independent of which other cells run.
 type x3Case struct {
 	slug    string
 	display string
@@ -109,30 +103,10 @@ func x3Cell(o Options, idx int) (X3Row, CellMeasure) {
 	return row, m
 }
 
-// ExperimentX3 runs the port in three regimes: clean, corrupted initial
-// state, and corrupted + 20% frame loss.
-func ExperimentX3(seed int64) X3Result {
-	return ExperimentX3With(Options{Seed: seed})
-}
-
-// ExperimentX3With runs E-X3 with explicit options; Options.Cases uses the
-// slugs clean, corrupt, corrupt-loss20.
-func ExperimentX3With(o Options) X3Result {
-	res := X3Result{AllOK: true}
+// x3Table renders one E-X3 regime.
+func x3Table(row X3Row) *metrics.Table {
 	t := metrics.NewTable("E-X3: message-passing port (goroutines + channels)",
 		"configuration", "sent", "delivered", "duplicates", "wall time", "exactly once")
-	for i, c := range x3Cases() {
-		if !o.wants(c.slug) || o.cancelled() {
-			continue
-		}
-		row, m := x3Cell(o, i)
-		o.report(c.slug, m)
-		if !row.ExactlyOnce {
-			res.AllOK = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Config, row.Sent, row.Delivered, row.Duplicates, row.WallTime.String(), row.ExactlyOnce)
-	}
-	res.Table = t
-	return res
+	t.AddRow(row.Config, row.Sent, row.Delivered, row.Duplicates, row.WallTime.String(), row.ExactlyOnce)
+	return t
 }
